@@ -70,10 +70,6 @@ def check_pipeline(data: dict) -> List[str]:
         for key in ("scheme", "method"):
             if not row.get(key):
                 errors.append(f"combination {name!r}: missing {key!r}")
-        threads = row.get("compress_threads")
-        if not isinstance(threads, int) or threads < 1:
-            errors.append(f"combination {name!r}: 'compress_threads' should be "
-                          f"a positive integer, got {threads!r}")
         version = row.get("format_version")
         if not isinstance(version, int) or version < 0:
             errors.append(f"combination {name!r}: 'format_version' should be "

@@ -25,7 +25,6 @@ from conftest import run_once
 from repro.checkpoint import CheckpointPipeline
 from repro.checkpoint.serialization import deserialize_checkpoint
 from repro.compression.base import CompressedBlob
-from repro.compression.sharded import resolve_threads
 from repro.core.schemes import CheckpointingScheme
 from repro.solvers import BiCGStabSolver, CGSolver, GMRESSolver, JacobiSolver
 from repro.sparse import poisson_system
@@ -110,60 +109,9 @@ def _measure():
                 "snapshot_mb_per_s": dynamic_bytes / best_snap / 1024**2,
                 "restore_mb_per_s": dynamic_bytes / best_restore / 1024**2,
                 "checkpoints_per_s": 1.0 / best_snap,
-                "compress_threads": resolve_threads(),
                 "format_version": _payload_format_version(snap.payload),
             }
-    report["threads_sweep"] = _measure_threads_sweep(problem, b_norm)
     return report
-
-
-def _measure_threads_sweep(problem, b_norm):
-    """Snapshot throughput of the heaviest lossless cell at 1 vs 4 shard threads.
-
-    In the nightly container the sweep mostly documents that threading is
-    *safe*: payload bytes must be identical for every worker count (the RSF2
-    frame is deterministic by construction), and wall time must not regress
-    catastrophically when threads exceed cores.
-    """
-    solver = _SOLVERS["bicgstab"](problem.A)
-    state = _mid_run_state(solver, problem.b)
-    resume = solver.capture_resume_state(state)
-    rows = []
-    reference_payload = None
-    for threads in (1, 4):
-        scheme = CheckpointingScheme.lossless()
-        # Compressors default to threads=None, so the environment variable
-        # below is the single control surface for the whole pipeline.
-        pipeline = CheckpointPipeline(scheme, solver=solver)
-        kwargs = dict(
-            iteration=state.iteration,
-            resume_state=resume,
-            residual_norm=state.residual_norm,
-            b_norm=b_norm,
-        )
-        os.environ["REPRO_COMPRESS_THREADS"] = str(threads)
-        try:
-            snap = pipeline.snapshot(state.x, **kwargs)
-            best = None
-            for _ in range(_REPEATS):
-                start = time.perf_counter()
-                for _ in range(_SNAPSHOTS_PER_REPEAT):
-                    snap = pipeline.snapshot(state.x, **kwargs)
-                elapsed = (time.perf_counter() - start) / _SNAPSHOTS_PER_REPEAT
-                best = elapsed if best is None else min(best, elapsed)
-        finally:
-            del os.environ["REPRO_COMPRESS_THREADS"]
-        if reference_payload is None:
-            reference_payload = snap.payload
-        rows.append(
-            {
-                "threads": threads,
-                "payload_bytes": int(snap.serialized_bytes),
-                "payload_identical": bool(snap.payload == reference_payload),
-                "snapshot_mb_per_s": snap.uncompressed_bytes / best / 1024**2,
-            }
-        )
-    return rows
 
 
 def test_bench_pipeline_throughput(benchmark):
@@ -181,16 +129,11 @@ def test_bench_pipeline_throughput(benchmark):
         assert row["checkpoints_per_s"] > 5.0, name
         assert row["snapshot_mb_per_s"] > 1.0, name
         assert row["payload_bytes"] > 0, name
-        assert row["compress_threads"] >= 1, name
         # Compressing schemes write sharded v2 payloads; traditional stores raw.
         if row["scheme"] == "traditional":
             assert row["format_version"] < 2, name
         else:
             assert row["format_version"] == 2, name
-    # Thread count must never change payload bytes (deterministic framing).
-    sweep = report["threads_sweep"]
-    assert [row["threads"] for row in sweep] == [1, 4]
-    assert all(row["payload_identical"] for row in sweep)
     # The measured payload composition: BiCGSTAB-exact stores 5 vectors.
     assert rows["traditional/bicgstab"]["vectors"] == 5
     assert rows["lossy/bicgstab"]["vectors"] == 1

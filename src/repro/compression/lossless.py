@@ -21,8 +21,6 @@ from __future__ import annotations
 
 import lzma
 import zlib
-from typing import Optional
-
 import numpy as np
 
 from repro.compression.base import CompressedBlob, Compressor, register_compressor
@@ -40,15 +38,10 @@ class _ShuffledShardedCompressor(Compressor):
     """Shared v2 encode/decode: byte-shuffle, then one sharded frame.
 
     Subclasses pick the shard codec (``deflate``/``lzma``) and its effort
-    level; ``threads`` overrides the shard worker count for this instance
-    (``None`` defers to ``REPRO_COMPRESS_THREADS``/CPU count at call time).
+    level.
     """
 
     _codec = "deflate"
-
-    def __init__(self, *, threads: Optional[int] = None) -> None:
-        super().__init__()
-        self.threads = None if threads is None else max(1, int(threads))
 
     def _codec_level(self) -> int:
         raise NotImplementedError
@@ -59,7 +52,6 @@ class _ShuffledShardedCompressor(Compressor):
             list(planes),
             codec=self._codec,
             level=self._codec_level(),
-            threads=self.threads,
         )
         return CompressedBlob(
             payload=payload,
@@ -100,8 +92,8 @@ class ZlibCompressor(_ShuffledShardedCompressor):
     lossless = True
     _codec = "deflate"
 
-    def __init__(self, level: int = 2, *, threads: Optional[int] = None) -> None:
-        super().__init__(threads=threads)
+    def __init__(self, level: int = 2) -> None:
+        super().__init__()
         level = int(level)
         if not (0 <= level <= 9):
             raise ValueError(f"level must be in [0, 9], got {level}")
@@ -127,8 +119,8 @@ class LzmaCompressor(_ShuffledShardedCompressor):
     lossless = True
     _codec = "lzma"
 
-    def __init__(self, preset: int = 1, *, threads: Optional[int] = None) -> None:
-        super().__init__(threads=threads)
+    def __init__(self, preset: int = 1) -> None:
+        super().__init__()
         preset = int(preset)
         if not (0 <= preset <= 9):
             raise ValueError(f"preset must be in [0, 9], got {preset}")

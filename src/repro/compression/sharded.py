@@ -11,16 +11,10 @@ shards and every shard is stored under the cheapest of three methods:
   to shrink it); stored verbatim,
 * **deflate** / **lzma** — the shard compressed by the frame's codec.
 
-Shard compression fans out over a ``ThreadPoolExecutor`` — ``zlib`` and
-``lzma`` release the GIL — but the framing is *deterministic by
-construction*: method selection is a pure per-shard function, shard payloads
-are concatenated in (section, shard index) order, and the header is derived
-only from sizes, so the frame bytes are bit-identical for any worker count
-(``tests/compression/test_sharded.py`` pins 1, 2 and 8 threads).  The
-thread count resolves from the constructor/call argument, then the
-``REPRO_COMPRESS_THREADS`` environment variable, then the CPU count;
-campaign worker processes pin it to 1 so shard threads never oversubscribe
-the process pool.
+Shards are compressed in order on the calling thread, and the framing is
+*deterministic by construction*: method selection is a pure per-shard
+function, shard payloads are concatenated in (section, shard index) order,
+and the header is derived only from sizes.
 
 Frame layout (all little-endian; normative spec in
 ``docs/payload-format.md``):
@@ -36,11 +30,9 @@ shard payloads, concatenated in (section, shard) order
 from __future__ import annotations
 
 import lzma
-import os
 import struct
 import zlib
-from concurrent.futures import ThreadPoolExecutor
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -50,7 +42,6 @@ __all__ = [
     "SHARDED_FORMAT_VERSION",
     "SHARD_SIZE",
     "ShardedFormatError",
-    "resolve_threads",
     "compress_sections",
     "decompress_sections",
 ]
@@ -61,8 +52,8 @@ __all__ = [
 SHARDED_FORMAT_VERSION = 2
 
 #: Fixed shard size.  Large enough that per-shard overhead (5 bytes + one
-#: DEFLATE stream header) is noise, small enough that multi-megabyte
-#: sections fan out across threads.
+#: DEFLATE stream header) is noise, small enough that the entropy gate
+#: decides per megabyte rather than per section.
 SHARD_SIZE = 1 << 20
 
 _MAGIC = b"RSF2"
@@ -87,27 +78,6 @@ class ShardedFormatError(ValueError):
     """A payload violates the RSF2 frame format."""
 
 
-_CPU_DEFAULT = max(1, min(8, os.cpu_count() or 1))
-
-
-def resolve_threads(threads: Optional[int] = None) -> int:
-    """Shard-compression worker count for one call.
-
-    Explicit argument first, then ``REPRO_COMPRESS_THREADS``, then the CPU
-    count (capped at 8 — shard compression saturates memory bandwidth well
-    before that).  Always at least 1.
-    """
-    if threads is not None:
-        return max(1, int(threads))
-    env = os.environ.get("REPRO_COMPRESS_THREADS", "").strip()
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return _CPU_DEFAULT
-
-
 def _compress_shard(codec: int, level: int, data) -> bytes:
     if codec == _CODEC_DEFLATE:
         return zlib.compress(data, level)
@@ -125,11 +95,9 @@ def compress_sections(
     *,
     codec: str = "deflate",
     level: int = 6,
-    threads: Optional[int] = None,
     gate: bool = True,
 ) -> bytes:
-    """Pack byte sections into one RSF2 frame (bit-identical for any
-    ``threads``).
+    """Pack byte sections into one RSF2 frame.
 
     ``sections`` holds contiguous byte buffers (``bytes``, ``memoryview`` or
     uint8-viewable arrays).  With ``gate`` enabled, shards whose sampled
@@ -144,12 +112,12 @@ def compress_sections(
     ]
     shard_size = SHARD_SIZE
 
-    # Deterministic per-shard method selection; codec jobs collected for the
-    # (optional) thread fan-out, keyed by their flat position in the frame.
-    flat_methods: List[int] = []  # method per shard, (section, shard) order
-    flat_shards: List[np.ndarray] = []  # shard view per shard, same order
+    # Deterministic per-shard method selection, coding each shard in
+    # (section, shard) order as it is reached.
+    methods: List[int] = []  # method per shard, (section, shard) order
+    stored: List = []  # stored bytes per shard, same order
     section_shards: List[int] = []  # shard count per section
-    jobs: List[int] = []  # flat positions of CODED shards
+    body_size = 0
     for view in views:
         n_shards = max(1, -(-view.size // shard_size))
         section_shards.append(n_shards)
@@ -162,54 +130,28 @@ def compress_sections(
             ]
         )
         for shard in shards:
-            flat_shards.append(shard)
             if not shard.any():
-                flat_methods.append(_METHOD_ZERO)
+                method, payload = _METHOD_ZERO, b""
             elif (
                 gate
                 and shard.size >= _ENTROPY_MIN_BYTES
                 and plane_entropy(shard) >= ENTROPY_GATE_BITS
             ):
-                flat_methods.append(_METHOD_RAW)
+                method, payload = _METHOD_RAW, memoryview(shard)
             else:
-                jobs.append(len(flat_methods))
-                flat_methods.append(_METHOD_CODED)
-
-    worker_count = min(resolve_threads(threads), len(jobs))
-    if worker_count > 1:
-        with ThreadPoolExecutor(max_workers=worker_count) as pool:
-            results = list(
-                pool.map(
-                    lambda position: _compress_shard(
-                        codec_id, level, flat_shards[position]
-                    ),
-                    jobs,
-                )
-            )
-    else:
-        results = [
-            _compress_shard(codec_id, level, flat_shards[position])
-            for position in jobs
-        ]
-    stored: List = [b""] * len(flat_methods)
-    body_size = 0
-    for position, payload in zip(jobs, results):
-        if len(payload) >= flat_shards[position].size:
-            # Incompressible after all: ship raw.
-            flat_methods[position] = _METHOD_RAW
-        else:
-            stored[position] = payload
+                coded = _compress_shard(codec_id, level, shard)
+                if len(coded) < shard.size:
+                    method, payload = _METHOD_CODED, coded
+                else:  # incompressible after all: ship raw
+                    method, payload = _METHOD_RAW, memoryview(shard)
+            methods.append(method)
+            stored.append(payload)
             body_size += len(payload)
-    for position, method in enumerate(flat_methods):
-        if method == _METHOD_RAW:
-            shard = flat_shards[position]
-            stored[position] = memoryview(shard)
-            body_size += shard.size
 
     # Assemble: header sizes are known up front, so the frame is built into
     # one preallocated buffer with a single pass and no intermediate joins.
     header_size = (
-        _HEADER.size + _SECTION.size * len(views) + _SHARD.size * len(flat_methods)
+        _HEADER.size + _SECTION.size * len(views) + _SHARD.size * len(methods)
     )
     out = bytearray(header_size + body_size)
     _HEADER.pack_into(
@@ -221,7 +163,7 @@ def compress_sections(
         _SECTION.pack_into(out, pos, view.size, n_shards)
         pos += _SECTION.size
     body_pos = header_size
-    for method, payload in zip(flat_methods, stored):
+    for method, payload in zip(methods, stored):
         length = len(payload)
         _SHARD.pack_into(out, pos, method, length)
         pos += _SHARD.size

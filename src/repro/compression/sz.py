@@ -38,7 +38,7 @@ from __future__ import annotations
 import struct
 import time
 import zlib
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -124,9 +124,6 @@ class SZCompressor(Compressor):
         Defaults to 2: the zigzag code planes are either near-constant or
         near-uniform, so deeper match search buys almost nothing at several
         times the encode cost.
-    threads:
-        Shard-compression worker count for this instance; ``None`` defers
-        to ``REPRO_COMPRESS_THREADS``/CPU count at call time.
     """
 
     name = "sz"
@@ -138,7 +135,6 @@ class SZCompressor(Compressor):
         *,
         predictor: str = "lorenzo",
         zlib_level: int = 2,
-        threads: Optional[int] = None,
     ) -> None:
         super().__init__()
         if not isinstance(error_bound, ErrorBound):
@@ -150,7 +146,6 @@ class SZCompressor(Compressor):
         self.error_bound = error_bound
         self.predictor = predictor
         self.zlib_level = int(zlib_level)
-        self.threads = None if threads is None else max(1, int(threads))
 
     # ------------------------------------------------------------------
     def with_error_bound(self, error_bound: "ErrorBound | float") -> "SZCompressor":
@@ -163,7 +158,6 @@ class SZCompressor(Compressor):
             error_bound,
             predictor=self.predictor,
             zlib_level=self.zlib_level,
-            threads=self.threads,
         )
 
     # ------------------------------------------------------------------
@@ -251,9 +245,7 @@ class SZCompressor(Compressor):
         except QuantizationOverflow:
             return self._raw_fallback(flat), "raw", flat.copy() if want_recon else None
         payload = compress_sections(
-            self._code_sections(quantized, flat.size),
-            level=self.zlib_level,
-            threads=self.threads,
+            self._code_sections(quantized, flat.size), level=self.zlib_level
         )
         recon = dequantize_absolute(quantized) if want_recon else None
         return payload, "abs", recon
@@ -275,9 +267,7 @@ class SZCompressor(Compressor):
         # packbits accepts bool arrays directly; the astype copy is waste.
         sections.append(np.packbits(transform.negative_mask))
         sections.append(np.packbits(transform.zero_mask))
-        payload = compress_sections(
-            sections, level=self.zlib_level, threads=self.threads
-        )
+        payload = compress_sections(sections, level=self.zlib_level)
         recon = (
             transform.backward(dequantize_absolute(quantized)) if want_recon else None
         )

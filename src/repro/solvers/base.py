@@ -4,12 +4,12 @@ Design notes
 ------------
 The fault-tolerance layer (``repro.core``) drives solvers through a
 *per-iteration callback*: the callback receives an :class:`IterationState`
-(iteration index, a copy of the current approximate solution and the current
-residual norm) and may raise :class:`SolverInterrupt` to stop the solve —
-that is how an injected failure "kills" the execution.  After a (possibly
-lossy) recovery the runner simply calls ``solve`` again with the recovered
-vector as the new initial guess, which is exactly the restarted-CG /
-restarted-GMRES scheme the paper adopts (Section 4.2).
+(iteration index, a read-only view of the current approximate solution and
+the current residual norm) and may raise :class:`SolverInterrupt` to stop
+the solve — that is how an injected failure "kills" the execution.  After
+a (possibly lossy) recovery the runner simply calls ``solve`` again with the
+recovered vector as the new initial guess, which is exactly the
+restarted-CG / restarted-GMRES scheme the paper adopts (Section 4.2).
 """
 
 from __future__ import annotations
@@ -89,7 +89,15 @@ class ConvergenceCriterion:
 
 @dataclass
 class IterationState:
-    """Snapshot handed to per-iteration callbacks."""
+    """Snapshot handed to per-iteration callbacks.
+
+    ``x`` and every array in ``extras`` are read-only views of the solver's
+    own vectors, not copies.  A solver never writes to an array after
+    emitting it (every built-in solver rebinds its vectors each iteration
+    rather than updating them in place), so a kept state stays valid for
+    as long as the consumer holds it.  A consumer that needs a writable
+    array copies it.
+    """
 
     iteration: int
     x: np.ndarray
@@ -406,15 +414,23 @@ class IterativeSolver(abc.ABC):
         residual_norm: float,
         **extras,
     ) -> None:
-        """Invoke the callback (if any) with a defensive copy of ``x``."""
+        """Invoke the callback (if any) with read-only views of the vectors.
+
+        ``x`` and the array-valued ``extras`` are handed over without a
+        copy; the caller must not write to any of them afterwards (see
+        :class:`IterationState`).
+        """
         if callback is None:
             return
+        for name, value in extras.items():
+            if isinstance(value, np.ndarray):
+                extras[name] = _read_only(value)
         callback(
             IterationState(
                 iteration=iteration,
-                x=x.copy(),
+                x=_read_only(x),
                 residual_norm=float(residual_norm),
-                extras=dict(extras),
+                extras=extras,
             )
         )
 
@@ -423,6 +439,13 @@ class IterativeSolver(abc.ABC):
             f"{type(self).__name__}(n={self.n}, rtol={self.criterion.rtol}, "
             f"max_iter={self.max_iter})"
         )
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """A view of ``array`` that raises ``ValueError`` on any write."""
+    view = array.view()
+    view.flags.writeable = False
+    return view
 
 
 _REGISTRY: Dict[str, Callable[..., IterativeSolver]] = {}

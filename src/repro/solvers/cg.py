@@ -143,7 +143,7 @@ class CGSolver(IterativeSolver):
                     breakdown = True
                     self._emit(
                         callback, iteration_offset + local_iter, x, res,
-                        p=p.copy(), rho=rho, converged=converged,
+                        p=p, rho=rho, converged=converged,
                     )
                     break
                 beta = rho_next / rho
@@ -154,7 +154,7 @@ class CGSolver(IterativeSolver):
                 iteration_offset + local_iter,
                 x,
                 res,
-                p=p.copy(),
+                p=p,
                 rho=rho,
                 converged=converged,
             )

@@ -32,7 +32,10 @@ __all__ = ["JacobiSolver", "GaussSeidelSolver", "SORSolver", "SSORSolver"]
 class _StationarySolver(IterativeSolver):
     """Shared driver for all stationary methods.
 
-    Subclasses implement :meth:`_sweep`, producing ``x_{i+1}`` from ``x_i``.
+    Subclasses implement :meth:`_sweep`, producing ``x_{i+1}`` from ``x_i``
+    and the residual ``r_i = b - A x_i`` the driver already computed for the
+    convergence test (Jacobi's update is ``x_i + r_i / diag``; the
+    triangular sweeps ignore it).
     """
 
     #: Stationary methods are memoryless — the iterate ``x`` is the entire
@@ -53,7 +56,7 @@ class _StationarySolver(IterativeSolver):
             raise ValueError(f"{type(self).__name__} requires a nonzero diagonal")
         self._diag = diag
 
-    def _sweep(self, x: np.ndarray, b: np.ndarray) -> np.ndarray:
+    def _sweep(self, x: np.ndarray, b: np.ndarray, r: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def _solve(
@@ -65,16 +68,19 @@ class _StationarySolver(IterativeSolver):
         max_iter: int,
         iteration_offset: int,
     ) -> SolveResult:
+        matvec = self.matvec
         x = x0
         b_norm = float(np.linalg.norm(b))
-        residual_norms = [self.residual_norm(b, x)]
+        r = b - matvec(x)
+        residual_norms = [float(np.linalg.norm(r))]
         converged = self.criterion.has_converged(residual_norms[-1], b_norm)
         iterations = 0
         for local_iter in range(1, max_iter + 1):
             if converged:
                 break
-            x = self._sweep(x, b)
-            res = self.residual_norm(b, x)
+            x = self._sweep(x, b, r)
+            r = b - matvec(x)
+            res = float(np.linalg.norm(r))
             residual_norms.append(res)
             iterations = local_iter
             converged = self.criterion.has_converged(res, b_norm)
@@ -98,8 +104,8 @@ class JacobiSolver(_StationarySolver):
 
     name = "jacobi"
 
-    def _sweep(self, x: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return x + (b - self.matvec(x)) / self._diag
+    def _sweep(self, x: np.ndarray, b: np.ndarray, r: np.ndarray) -> np.ndarray:
+        return x + r / self._diag
 
 
 class GaussSeidelSolver(_StationarySolver):
@@ -112,7 +118,7 @@ class GaussSeidelSolver(_StationarySolver):
         self._lower = sp.tril(self.A, k=0).tocsr()
         self._upper = sp.triu(self.A, k=1).tocsr()
 
-    def _sweep(self, x: np.ndarray, b: np.ndarray) -> np.ndarray:
+    def _sweep(self, x: np.ndarray, b: np.ndarray, r: np.ndarray) -> np.ndarray:
         rhs = b - self._upper @ x
         return spla.spsolve_triangular(self._lower, rhs, lower=True)
 
@@ -134,7 +140,7 @@ class SORSolver(_StationarySolver):
         self._lhs = (diag_matrix + omega * strict_lower).tocsr()
         self._diag_matrix = diag_matrix
 
-    def _sweep(self, x: np.ndarray, b: np.ndarray) -> np.ndarray:
+    def _sweep(self, x: np.ndarray, b: np.ndarray, r: np.ndarray) -> np.ndarray:
         rhs = self.omega * (b - self._upper @ x) + (1.0 - self.omega) * (self._diag * x)
         return spla.spsolve_triangular(self._lhs, rhs, lower=True)
 
@@ -158,7 +164,7 @@ class SSORSolver(_StationarySolver):
         self._forward_lhs = (diag_matrix + omega * strict_lower).tocsr()
         self._backward_lhs = (diag_matrix + omega * strict_upper).tocsr()
 
-    def _sweep(self, x: np.ndarray, b: np.ndarray) -> np.ndarray:
+    def _sweep(self, x: np.ndarray, b: np.ndarray, r: np.ndarray) -> np.ndarray:
         omega = self.omega
         rhs = omega * (b - self._upper @ x) + (1.0 - omega) * (self._diag * x)
         half = spla.spsolve_triangular(self._forward_lhs, rhs, lower=True)

@@ -1,10 +1,11 @@
 """Tests for the RSF2 sharded, entropy-gated compression frame.
 
-The load-bearing guarantee is *determinism*: frame bytes must be
-bit-identical for any shard-worker count, because checkpoint payloads feed
-content-addressed stores and byte-level golden tests.  Thread count is an
-execution detail, never a format input.
+Frames must round-trip every section bit for bit and reject any malformed
+payload with :class:`ShardedFormatError`; checkpoint payloads feed
+content-addressed stores and byte-level golden tests.
 """
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from repro.compression.sharded import (
     ShardedFormatError,
     compress_sections,
     decompress_sections,
-    resolve_threads,
 )
 
 
@@ -44,7 +44,7 @@ class TestRoundTrip:
     @pytest.mark.parametrize("codec", ["deflate", "lzma"])
     def test_mixed_sections(self, codec):
         sections = _sections(1, _MIX)
-        payload = compress_sections(sections, codec=codec, threads=1)
+        payload = compress_sections(sections, codec=codec)
         out = decompress_sections(payload)
         assert len(out) == len(sections)
         for got, want in zip(out, sections):
@@ -53,12 +53,12 @@ class TestRoundTrip:
 
     def test_empty_and_tiny_sections(self):
         sections = [np.zeros(0, dtype=np.uint8), np.frombuffer(b"\x07", dtype=np.uint8)]
-        out = decompress_sections(compress_sections(sections, threads=1))
+        out = decompress_sections(compress_sections(sections))
         assert out[0].size == 0
         assert bytes(out[1]) == b"\x07"
 
     def test_accepts_bytes_and_memoryview_sections(self):
-        payload = compress_sections([b"abc" * 100, memoryview(b"\x00" * 64)], threads=1)
+        payload = compress_sections([b"abc" * 100, memoryview(b"\x00" * 64)])
         out = decompress_sections(payload)
         assert bytes(out[0]) == b"abc" * 100
         assert bytes(out[1]) == b"\x00" * 64
@@ -70,7 +70,7 @@ class TestRoundTrip:
         rng = np.random.default_rng(3)
         section = rng.integers(0, 256, 5000).astype(np.uint8)
         section[1024:2048] = 0  # exactly the second shard
-        payload = compress_sections([section], threads=1)
+        payload = compress_sections([section])
         out = decompress_sections(payload)
         assert np.array_equal(out[0], section)
 
@@ -82,44 +82,32 @@ class TestRoundTrip:
             rng.integers(0, int(rng.integers(1, 256)), int(rng.integers(0, 3000))).astype(np.uint8)
             for _ in range(int(rng.integers(1, 5)))
         ]
-        out = decompress_sections(compress_sections(sections, threads=1))
+        out = decompress_sections(compress_sections(sections))
         for got, want in zip(out, sections):
             assert np.array_equal(got, want)
 
 
-class TestThreadDeterminism:
-    def test_payload_identical_across_thread_counts(self, monkeypatch):
-        monkeypatch.setattr(sharded, "SHARD_SIZE", 512)  # force real fan-out
-        sections = _sections(11, _MIX)
-        reference = compress_sections(sections, threads=1)
-        for threads in (2, 8):
-            assert compress_sections(sections, threads=threads) == reference
-        # The environment variable is an equivalent control surface.
-        for env_threads in ("1", "2", "8"):
-            monkeypatch.setenv("REPRO_COMPRESS_THREADS", env_threads)
-            assert compress_sections(sections) == reference
+class TestPinnedFrames:
+    """Frame bytes are a pure function of sections, codec and level; pin
+    them for a mix spanning many shards of every method."""
 
-    def test_lzma_payload_identical_across_thread_counts(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "codec, seed, digest",
+        [
+            ("deflate", 11, "feb778fed8c2bc5b8a5ae1e2d4e8594b4bc8ac6efc897c12c6ffc4c583dee5d3"),
+            ("lzma", 12, "b82bef9bd842e18462ad466a9d6b33d21f1c50c9b1a208932b689d436c90264e"),
+        ],
+        ids=["deflate", "lzma"],
+    )
+    def test_frame_bytes_pinned(self, monkeypatch, codec, seed, digest):
         monkeypatch.setattr(sharded, "SHARD_SIZE", 512)
-        sections = _sections(12, _MIX)
-        reference = compress_sections(sections, codec="lzma", threads=1)
-        for threads in (2, 8):
-            assert compress_sections(sections, codec="lzma", threads=threads) == reference
-
-    def test_resolve_threads_precedence(self, monkeypatch):
-        monkeypatch.setenv("REPRO_COMPRESS_THREADS", "3")
-        assert resolve_threads(5) == 5          # explicit argument wins
-        assert resolve_threads() == 3           # then the environment
-        monkeypatch.setenv("REPRO_COMPRESS_THREADS", "not-a-number")
-        assert resolve_threads() >= 1           # junk falls back to CPU count
-        monkeypatch.delenv("REPRO_COMPRESS_THREADS")
-        assert 1 <= resolve_threads() <= 8
-        assert resolve_threads(0) == 1          # clamped to at least one
+        payload = compress_sections(_sections(seed, _MIX), codec=codec)
+        assert hashlib.sha256(payload).hexdigest() == digest
 
 
 class TestFormatErrors:
     def _frame(self):
-        return bytearray(compress_sections(_sections(2, _MIX), threads=1))
+        return bytearray(compress_sections(_sections(2, _MIX)))
 
     def test_unknown_codec_name_rejected(self):
         with pytest.raises(ValueError, match="codec"):
@@ -155,7 +143,7 @@ class TestFormatErrors:
 
     def test_corrupt_coded_shard_rejected(self):
         sections = [np.repeat(np.arange(32, dtype=np.uint8), 200)]
-        frame = bytearray(compress_sections(sections, threads=1))
+        frame = bytearray(compress_sections(sections))
         frame[-1] ^= 0xFF
         with pytest.raises((ShardedFormatError, Exception)):
             decompress_sections(bytes(frame))
@@ -167,13 +155,13 @@ class TestDefaults:
         assert SHARD_SIZE == 1 << 20
 
     def test_zero_section_costs_nothing_but_tables(self):
-        quiet = compress_sections([np.zeros(1 << 16, dtype=np.uint8)], threads=1)
+        quiet = compress_sections([np.zeros(1 << 16, dtype=np.uint8)])
         # header + one section entry + one shard entry, no body bytes
         assert len(quiet) == 16 + 12 + 5
 
     def test_incompressible_section_ships_raw(self):
         rng = np.random.default_rng(9)
         noise = rng.integers(0, 256, 1 << 14).astype(np.uint8)
-        payload = compress_sections([noise], threads=1)
+        payload = compress_sections([noise])
         # Raw shard: frame overhead only, no DEFLATE expansion.
         assert len(payload) == 16 + 12 + 5 + noise.size

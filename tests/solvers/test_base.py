@@ -77,3 +77,37 @@ class TestSolverRegistry:
         M = JacobiPreconditioner(poisson_medium.A)
         with pytest.raises(ValueError):
             make_solver("cg", poisson_small.A, preconditioner=M)
+
+
+class TestZeroCopyIterationStates:
+    """Emitted states are read-only views a solver never writes to again."""
+
+    @pytest.mark.parametrize(
+        "name", ["jacobi", "gauss_seidel", "sor", "ssor", "cg", "gmres", "bicgstab"]
+    )
+    def test_kept_states_stay_valid_and_read_only(self, name, poisson_small):
+        kwargs = {"restart": 5} if name == "gmres" else {}
+        solver = make_solver(name, poisson_small.A, rtol=1e-12, **kwargs)
+        kept = []
+
+        def keep(state):
+            copies = {
+                key: value.copy()
+                for key, value in state.extras.items()
+                if isinstance(value, np.ndarray)
+            }
+            kept.append((state, state.x.copy(), copies))
+
+        solver.solve(poisson_small.b, callback=keep, max_iter=12)
+        assert len(kept) == 12
+        if name in ("cg", "bicgstab"):
+            assert all(copies for _, _, copies in kept)
+        for state, x_copy, copies in kept:
+            assert state.x.tobytes() == x_copy.tobytes()
+            for key, copy in copies.items():
+                assert state.extras[key].tobytes() == copy.tobytes(), key
+            with pytest.raises(ValueError):
+                state.x[0] = 1.0
+            for key in copies:
+                with pytest.raises(ValueError):
+                    state.extras[key][0] = 1.0

@@ -130,3 +130,28 @@ class TestRestartBehaviour:
         resumed = solver.solve(poisson_medium.b, x0=perturbed)
         assert resumed.converged
         assert np.allclose(resumed.x, full.x, atol=1e-3)
+
+
+class TestJacobiMatvecs:
+    """Each sweep reuses the residual the convergence test computed."""
+
+    @pytest.mark.parametrize("rtol, max_iter", [(1e-12, 25), (1e-2, 10000)])
+    def test_one_matvec_per_iteration(self, poisson_small, rtol, max_iter):
+        solver = JacobiSolver(poisson_small.A, rtol=rtol, max_iter=max_iter)
+        exact = solver.matvec
+        calls = []
+
+        def counted(x):
+            calls.append(1)
+            return exact(x)
+
+        solver.matvec = counted
+        iterates = [np.zeros(solver.n)]
+        result = solver.solve(
+            poisson_small.b, callback=lambda state: iterates.append(state.x)
+        )
+        assert result.iterations > 0
+        assert len(calls) == result.iterations + 1
+        assert len(iterates) == len(result.residual_norms)
+        for x_k, res in zip(iterates, result.residual_norms):
+            assert res == float(np.linalg.norm(poisson_small.b - exact(x_k)))

@@ -41,7 +41,6 @@ def _valid_pipeline() -> dict:
             "checkpoints_per_s": 200.0,
             "payload_bytes": 100000,
             "dynamic_bytes": 128016,
-            "compress_threads": 1,
             "format_version": 2,
         }
     return {"combinations": {"lossless/cg": combo("lossless"), "lossy/cg": combo("lossy")}}
@@ -214,7 +213,7 @@ def test_pipeline_snapshot_rate_floors(tmp_path, scheme, rate, ok):
     assert bool(floor_errors) != ok
 
 
-@pytest.mark.parametrize("key", ["compress_threads", "format_version"])
+@pytest.mark.parametrize("key", ["format_version"])
 def test_pipeline_requires_compression_fields(tmp_path, key):
     data = _valid_pipeline()
     del data["combinations"]["lossy/cg"][key]
