@@ -82,6 +82,30 @@ def check_pipeline(data: dict) -> List[str]:
     schemes = {row.get("scheme") for row in combos.values() if isinstance(row, dict)}
     if len(schemes) < 2:
         errors.append(f"expected several schemes, found {sorted(map(str, schemes))}")
+    errors.extend(_check_incremental(data.get("incremental")))
+    return errors
+
+
+def _check_incremental(series) -> List[str]:
+    """The incremental (delta) series of ``BENCH_pipeline.json``.
+
+    No MB/s floor: the series exists so the delta path has a measured
+    trajectory at all, and its rates depend on how many deltas ship.
+    """
+    if not isinstance(series, dict) or not series:
+        return ["'incremental' must be a non-empty object (the delta-path series)"]
+    errors: List[str] = []
+    for name, row in series.items():
+        context = f"incremental {name!r}"
+        if not isinstance(row, dict):
+            errors.append(f"{context} is not an object")
+            continue
+        for key in ("snapshot_mb_per_s", "payload_bytes", "dynamic_bytes"):
+            _positive(row, key, errors, context)
+        share = row.get("delta_share")
+        if not isinstance(share, (int, float)) or not 0.0 <= share <= 1.0:
+            errors.append(f"{context}: 'delta_share' should be a fraction in "
+                          f"[0, 1], got {share!r}")
     return errors
 
 

@@ -8,6 +8,13 @@ dynamic state pushed through the pipeline** and **checkpoints per second**.
 This is the hot path of every engine run under measured costing, so its
 throughput trajectory is worth tracking across PRs.
 
+A second series, ``incremental``, drives an incremental pipeline (the mode
+asynchronous engines use) through snapshot + commit over successive solver
+states for Jacobi and CG under the traditional, lossless and lossy schemes.
+Each row reports MB/s of dynamic state and the **shipped-delta share**: the
+fraction of vector entries that could have shipped as a delta (a committed
+base exists and the id is not a keyframe) and actually did.
+
 Numbers go to ``BENCH_pipeline.json`` (override with the
 ``BENCH_PIPELINE_JSON`` environment variable); the nightly benchmarks
 workflow uploads the file as an artifact.  The pipeline times itself
@@ -23,6 +30,7 @@ import numpy as np
 from conftest import run_once
 
 from repro.checkpoint import CheckpointPipeline
+from repro.checkpoint.delta import DELTA_COMPRESSOR
 from repro.checkpoint.serialization import deserialize_checkpoint
 from repro.compression.base import CompressedBlob
 from repro.core.schemes import CheckpointingScheme
@@ -45,6 +53,12 @@ _SCHEMES = {
     "lossy": lambda: CheckpointingScheme.lossy(1e-4),
     "lossy-adaptive": lambda: CheckpointingScheme.lossy(1e-4, adaptive=True),
 }
+
+_INCREMENTAL_SOLVERS = ("jacobi", "cg")
+_INCREMENTAL_SCHEMES = ("traditional", "lossless", "lossy")
+#: Checkpoints per incremental run, spread evenly over the whole solve.
+_INCREMENTAL_STATES = 24
+_INCREMENTAL_REPEATS = 3
 
 
 def _payload_format_version(payload: bytes) -> int:
@@ -111,7 +125,90 @@ def _measure():
                 "checkpoints_per_s": 1.0 / best_snap,
                 "format_version": _payload_format_version(snap.payload),
             }
+    report["incremental"] = _measure_incremental(problem, b_norm)
     return report
+
+
+def _successive_states(solver, b):
+    """``_INCREMENTAL_STATES`` iterates evenly spaced over a full solve
+    (copied: iteration states are live views of solver buffers)."""
+    stride = max(1, solver.solve(b).iterations // _INCREMENTAL_STATES)
+    states = []
+
+    def grab(state):
+        if state.iteration % stride == 0:
+            states.append(
+                (
+                    state.iteration,
+                    state.x.copy(),
+                    solver.capture_resume_state(state),
+                    state.residual_norm,
+                )
+            )
+
+    solver.solve(b, callback=grab)
+    return states[:_INCREMENTAL_STATES]
+
+
+def _measure_incremental(problem, b_norm):
+    """Snapshot + commit throughput and shipped-delta share of incremental
+    pipelines over successive solver states."""
+    rows = {}
+    for method in _INCREMENTAL_SOLVERS:
+        solver = _SOLVERS[method](problem.A)
+        states = _successive_states(solver, problem.b)
+        for scheme_name in _INCREMENTAL_SCHEMES:
+            scheme = _SCHEMES[scheme_name]()
+            best = None
+            for _ in range(_INCREMENTAL_REPEATS):
+                pipeline = CheckpointPipeline(scheme, solver=solver, incremental=True)
+                snaps = []
+                start = time.perf_counter()
+                for checkpoint_id, (iteration, x, resume, residual_norm) in enumerate(
+                    states
+                ):
+                    snap = pipeline.snapshot(
+                        x,
+                        iteration=iteration,
+                        resume_state=resume if scheme.checkpoint_krylov_state else None,
+                        residual_norm=residual_norm,
+                        b_norm=b_norm,
+                        checkpoint_id=checkpoint_id,
+                    )
+                    pipeline.commit(snap)
+                    snaps.append(snap)
+                elapsed = time.perf_counter() - start
+                best = elapsed if best is None else min(best, elapsed)
+            # Restoring the newest payload walks its whole delta chain.
+            restored = pipeline.restore(payload=snaps[-1].payload)
+            if scheme.stores_exactly("x"):
+                assert restored.x.tobytes() == states[-1][1].tobytes()
+            candidates = sum(
+                len(snap.vector_measurements)
+                for checkpoint_id, snap in enumerate(snaps)
+                if checkpoint_id % pipeline.keyframe_interval != 0
+            )
+            shipped = sum(
+                measurement.compressor == DELTA_COMPRESSOR
+                for snap in snaps
+                for measurement in snap.vector_measurements
+            )
+            dynamic_bytes = sum(snap.uncompressed_bytes for snap in snaps)
+            payload_bytes = sum(snap.serialized_bytes for snap in snaps)
+            rows[f"{scheme_name}/{method}"] = {
+                "scheme": scheme_name,
+                "method": method,
+                "snapshots": len(snaps),
+                "dynamic_bytes": int(dynamic_bytes),
+                "payload_bytes": int(payload_bytes),
+                "compression_ratio": dynamic_bytes / payload_bytes,
+                "seconds": best,
+                "snapshot_mb_per_s": dynamic_bytes / best / 1024**2,
+                "delta_candidates": int(candidates),
+                "deltas_shipped": int(shipped),
+                "delta_share": shipped / candidates if candidates else 0.0,
+            }
+    return rows
 
 
 def test_bench_pipeline_throughput(benchmark):
@@ -142,3 +239,12 @@ def test_bench_pipeline_throughput(benchmark):
         rows["lossy/jacobi"]["payload_bytes"]
         < rows["traditional/jacobi"]["payload_bytes"]
     )
+
+    incremental = report["incremental"]
+    assert len(incremental) == len(_INCREMENTAL_SOLVERS) * len(_INCREMENTAL_SCHEMES)
+    for name, row in incremental.items():
+        assert row["snapshots"] == _INCREMENTAL_STATES, name
+        assert row["snapshot_mb_per_s"] > 1.0, name
+        assert 0.0 <= row["delta_share"] <= 1.0, name
+    # Some delta must ship somewhere, or the series measures nothing.
+    assert any(row["deltas_shipped"] > 0 for row in incremental.values())

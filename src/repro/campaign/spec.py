@@ -62,7 +62,10 @@ KINDS = (
 #: 8: payload format v2 (byte-shuffled, sharded, entropy-gated compression):
 #: lossless and SZ payload bytes changed (smaller), so every cell's measured
 #: payload sizes, ratios and checkpoint costs changed with them.
-CACHE_VERSION = 8
+#: 9: incremental delta payloads moved onto RSF2 code planes behind a
+#: changed-element mask, so which deltas ship (and the async ft reports
+#: built on them) changed.
+CACHE_VERSION = 9
 
 _Params = Tuple[Tuple[str, object], ...]
 

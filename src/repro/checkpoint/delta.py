@@ -1,18 +1,24 @@
 """Bitwise delta encoding of checkpoint vectors (incremental payloads).
 
 Successive iterates of a converging solver are *close*: most of the
-mantissa bits of ``x_k`` agree with ``x_{k-1}``.  The incremental mode of
+mantissa bits of ``x_k`` agree with ``x_{k-1}``, and many elements do not
+change at all between two checkpoints.  The incremental mode of
 :class:`~repro.checkpoint.pipeline.CheckpointPipeline` exploits that by
 shipping, instead of a full compressed vector, the **residual of the raw
 IEEE-754 bit patterns** against the last committed payload:
 
-* both arrays are viewed as little-endian ``uint64`` words,
-* the wrapping word difference is zigzag-mapped (small signed residuals get
-  small codes) and packed through the existing v1 block codec
-  (:mod:`repro.compression.codec` — per-block minimal widths, escape channel
-  for rough regions, one DEFLATE pass),
-* decoding adds the residual back onto the base words, so reconstruction is
-  **bitwise exact given the same base**.
+* both arrays are viewed as little-endian ``uint64`` words and their
+  wrapping word difference is taken,
+* a bit mask records which elements changed at all, and only the nonzero
+  residuals are zigzag-mapped (small signed residuals get small codes) and
+  split into their live byte planes
+  (:func:`~repro.compression.filters.code_planes`),
+* mask and planes ship as one RSF2 frame
+  (:mod:`repro.compression.sharded`) at DEFLATE level 2 — the entropy gate
+  stores the noise-like low planes raw and DEFLATE only sees the upper
+  planes and the mask, which collapse,
+* decoding scatters the residual codes back onto the base words, so
+  reconstruction is **bitwise exact given the same base**.
 
 The delta blob records which checkpoint it is based on
 (``meta["base_id"]``); chains are cut by periodic full *keyframes* so a
@@ -30,21 +36,23 @@ from typing import Optional
 import numpy as np
 
 from repro.compression.base import CompressedBlob
-from repro.compression.codec import decode_frame, decode_signed, encode_frame, encode_signed
+from repro.compression.encoding import zigzag_decode, zigzag_encode
+from repro.compression.filters import code_planes, codes_from_planes
+from repro.compression.sharded import (
+    SHARDED_FORMAT_VERSION,
+    compress_sections,
+    decompress_sections,
+)
 
-__all__ = ["DELTA_COMPRESSOR", "DELTA_WIDTH_CAP", "delta_encode", "delta_decode", "is_delta_blob"]
+__all__ = ["DELTA_COMPRESSOR", "delta_encode", "delta_decode", "is_delta_blob"]
 
 #: Compressor name stamped into delta blobs (they are decoded by
 #: :func:`delta_decode` with an explicit base, never via ``make_compressor``).
 DELTA_COMPRESSOR = "delta64"
 
-#: Escape-channel cap for delta streams.  Quantization codes are narrow, so
-#: the codec's default 32-bit cap suits them — but a float64 bit residual at
-#: relative drift ``d`` is ``~52 + log2(d)`` bits wide (35-45 bits for
-#: typical inter-checkpoint drift), and escaping all of them would cost 16
-#: bytes each.  A 56-bit cap lets whole blocks pack at their natural width
-#: (still beating the raw 64 bits) while true outliers keep escaping.
-DELTA_WIDTH_CAP = 56
+#: DEFLATE level of the delta frame, the SZ and lossless default: the mask
+#: and the upper code planes are long runs that level 2 already collapses.
+_DEFLATE_LEVEL = 2
 
 
 def _as_words(data: np.ndarray) -> np.ndarray:
@@ -80,11 +88,12 @@ def delta_encode(
             f"delta base shape {base.shape} does not match value shape {value.shape}"
         )
     residual = (_as_words(value) - _as_words(base)).view(np.int64)
-    payload = encode_frame([encode_signed(residual, width_cap=DELTA_WIDTH_CAP)])
-    # Delta payloads stay on the v1 block-codec frame: their residuals are
-    # already narrow integers, so the v2 shuffle/shard stage has nothing to
-    # add, and keeping the frame stable keeps old delta chains restorable.
-    blob_meta = {"base_id": int(base_id), "format_version": 1}
+    changed = residual != 0
+    payload = compress_sections(
+        [np.packbits(changed), *code_planes(zigzag_encode(residual[changed]))],
+        level=_DEFLATE_LEVEL,
+    )
+    blob_meta = {"base_id": int(base_id), "format_version": SHARDED_FORMAT_VERSION}
     if inner is not None:
         blob_meta["inner"] = str(inner)
     if meta:
@@ -99,10 +108,20 @@ def delta_encode(
 
 
 def delta_decode(blob: CompressedBlob, base: np.ndarray) -> np.ndarray:
-    """Reconstruct the array stored in a delta blob given its base."""
+    """Reconstruct the array stored in a delta blob given its base.
+
+    Every structural property of the frame (section count, mask length,
+    plane lengths) is checked against the declared shape before the output
+    is allocated; a malformed payload raises :class:`ValueError`.
+    """
     if blob.compressor != DELTA_COMPRESSOR:
         raise ValueError(
             f"blob was produced by {blob.compressor!r}, not {DELTA_COMPRESSOR!r}"
+        )
+    if blob.format_version != SHARDED_FORMAT_VERSION:
+        raise ValueError(
+            f"unsupported delta format version {blob.format_version} "
+            f"(this build reads version {SHARDED_FORMAT_VERSION})"
         )
     base = np.ascontiguousarray(base, dtype=np.float64)
     expected = 1
@@ -112,15 +131,29 @@ def delta_decode(blob: CompressedBlob, base: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"delta base has {base.size} elements, blob stores {expected}"
         )
-    (section,) = decode_frame(blob.payload)
-    residual = decode_signed(section)
-    if residual.size != expected:
+    sections = decompress_sections(blob.payload)
+    if not 2 <= len(sections) <= 9:
         raise ValueError(
-            f"delta stream has {residual.size} residuals, blob declares {expected}"
+            f"delta frame holds {len(sections)} sections, expected a mask "
+            "and 1-8 code planes"
         )
-    # ``words`` is freshly allocated by the addition, so the reshaped float64
-    # view already owns its memory — no defensive copy needed.
-    words = _as_words(base) + residual.view(np.uint64)
+    mask, planes = sections[0], sections[1:]
+    if mask.size != -(-expected // 8):
+        raise ValueError(
+            f"delta mask holds {mask.size} bytes, {expected} elements "
+            f"need {-(-expected // 8)}"
+        )
+    changed = np.unpackbits(mask, count=expected).view(bool)
+    count = int(np.count_nonzero(changed))
+    for index, plane in enumerate(planes):
+        if plane.size != count:
+            raise ValueError(
+                f"delta code plane {index} holds {plane.size} bytes, "
+                f"the mask marks {count} changed elements"
+            )
+    residual = zigzag_decode(codes_from_planes(planes, count))
+    words = _as_words(base).copy()
+    words[changed] += residual.view(np.uint64)
     return words.view(np.float64).reshape(blob.shape)
 
 

@@ -85,9 +85,12 @@ def _compress_shard(codec: int, level: int, data) -> bytes:
 
 
 def _decompress_shard(codec: int, data) -> bytes:
-    if codec == _CODEC_DEFLATE:
-        return zlib.decompress(data)
-    return lzma.decompress(data)
+    try:
+        if codec == _CODEC_DEFLATE:
+            return zlib.decompress(data)
+        return lzma.decompress(data)
+    except (zlib.error, lzma.LZMAError) as exc:
+        raise ShardedFormatError(f"corrupt coded shard: {exc}") from exc
 
 
 def compress_sections(
@@ -196,6 +199,13 @@ def decompress_sections(payload) -> List[np.ndarray]:
             raise ShardedFormatError("truncated sharded frame section table")
         orig_len, n_shards = _SECTION.unpack_from(payload, pos)
         pos += _SECTION.size
+        # The encoder's shard count is a function of the length; checking it
+        # here bounds every allocation below by shard-table entries that
+        # physically exist in the payload.
+        if n_shards != max(1, -(-orig_len // shard_size)):
+            raise ShardedFormatError(
+                f"section of {orig_len} bytes declares {n_shards} shards"
+            )
         section_table.append((orig_len, n_shards))
     shard_table = []
     for orig_len, n_shards in section_table:
@@ -214,6 +224,8 @@ def decompress_sections(payload) -> List[np.ndarray]:
         for method, stored_len in shards:
             shard_len = min(shard_size, orig_len - write_pos) if orig_len else 0
             if method == _METHOD_ZERO:
+                if stored_len:
+                    raise ShardedFormatError("zero shard declares stored bytes")
                 out[write_pos:write_pos + shard_len] = 0
             elif method == _METHOD_RAW:
                 if stored_len != shard_len or pos + stored_len > len(payload):

@@ -1,5 +1,7 @@
 """Delta codec + incremental pipeline: keyframes, chains, bound preservation."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,29 +15,78 @@ from repro.checkpoint.delta import (
     delta_encode,
     is_delta_blob,
 )
+from repro.compression.sharded import SHARDED_FORMAT_VERSION, decompress_sections
 from repro.core.schemes import CheckpointingScheme
 from repro.solvers import CGSolver, JacobiSolver
 
-finite_vectors = arrays(
-    np.float64,
-    st.shared(st.integers(min_value=2, max_value=128), key="n"),
-    elements=st.floats(
-        min_value=-1e300, max_value=1e300, allow_nan=False, width=64
+#: IEEE-754 bit patterns a float strategy rarely draws: quiet/signalling
+#: NaNs with payloads, -0.0, the smallest and largest denormals, +-inf.
+_SPECIAL_WORDS = [
+    0x7FF8000000000000,
+    0x7FF0000000000001,
+    0xFFF8DEADBEEF0001,
+    0x8000000000000000,
+    0x0000000000000001,
+    0x000FFFFFFFFFFFFF,
+    0x7FF0000000000000,
+    0xFFF0000000000000,
+]
+
+any_words = arrays(
+    np.uint64,
+    st.shared(st.integers(min_value=1, max_value=200), key="words"),
+    elements=st.one_of(
+        st.integers(min_value=0, max_value=2**64 - 1),
+        st.sampled_from(_SPECIAL_WORDS),
     ),
 )
 
 
+@st.composite
+def _value_and_base(draw):
+    """A base of arbitrary bit patterns and a value whose words each either
+    equal the base word, sit a small signed step away from it (narrow code
+    planes) or are unrelated to it."""
+    base = draw(any_words)
+    fresh = draw(any_words)
+    step = draw(arrays(np.int64, base.size, elements=st.integers(-(2**16), 2**16)))
+    near = (base.view(np.int64) + step).view(np.uint64)
+    choice = draw(arrays(np.int8, base.size, elements=st.integers(0, 2)))
+    value = np.choose(choice, [base, near, fresh])
+    return value.view(np.float64), base.view(np.float64)
+
+
+def _sparse_change(seed, n=1024, share=0.1):
+    rng = np.random.default_rng(seed)
+    base = rng.standard_normal(n)
+    value = base.copy()
+    moved = rng.random(n) < share
+    value[moved] *= 1.0 + 1e-9 * rng.standard_normal(int(moved.sum()))
+    return value, base
+
+
 class TestDeltaCodec:
-    @settings(max_examples=40, deadline=None)
-    @given(value=finite_vectors, base=finite_vectors)
-    def test_round_trip_bitwise_any_base(self, value, base):
-        """Deltas reproduce the value bit-for-bit, even against a far base
-        (denormals, sign flips, huge magnitudes ride the escape channel)."""
+    @settings(max_examples=80, deadline=None)
+    @given(pair=_value_and_base())
+    def test_round_trip_bitwise_any_base(self, pair):
+        """Deltas reproduce the value bit-for-bit against any base, for any
+        bit pattern (NaN payloads, -0.0, denormals, +-inf): the residual
+        lives on raw uint64 words, never on float arithmetic."""
+        value, base = pair
         blob = delta_encode(value, base, base_id=3)
         assert is_delta_blob(blob)
         assert blob.meta["base_id"] == 3
+        assert blob.meta["format_version"] == SHARDED_FORMAT_VERSION
         restored = delta_decode(blob, base)
-        assert restored.tobytes() == np.ascontiguousarray(value).tobytes()
+        assert restored.tobytes() == value.tobytes()
+
+    def test_frame_is_mask_then_code_planes(self):
+        value, base = _sparse_change(7, n=100)
+        moved = int(np.count_nonzero(value != base))
+        sections = decompress_sections(delta_encode(value, base, base_id=0).payload)
+        assert sections[0].size == 13  # ceil(100 / 8) mask bytes
+        assert 1 <= len(sections) - 1 <= 8
+        assert all(plane.size == moved for plane in sections[1:])
 
     def test_near_base_deltas_are_small(self, rng):
         base = rng.standard_normal(4096)
@@ -56,6 +107,77 @@ class TestDeltaCodec:
         blob.compressor = "zlib"
         with pytest.raises(ValueError, match="delta64"):
             delta_decode(blob, np.zeros(4))
+
+    @pytest.mark.parametrize("version", [None, 0, 1, 3])
+    def test_other_format_versions_rejected(self, version):
+        """Only the RSF2 layout decodes; v1 block-codec deltas never outlive
+        the pipeline that holds their base, so no reader is kept for them."""
+        blob = delta_encode(np.ones(4), np.zeros(4), base_id=0)
+        if version is None:
+            del blob.meta["format_version"]
+        else:
+            blob.meta["format_version"] = version
+        with pytest.raises(ValueError, match="format version"):
+            delta_decode(blob, np.zeros(4))
+
+
+class TestPinnedDeltaFrames:
+    """Delta payload bytes are a pure function of value and base; pin them
+    so an accidental layout or level change cannot pass unnoticed."""
+
+    @pytest.mark.parametrize(
+        "share, digest",
+        [
+            (1.0, "46e00fa8e5e4d5779f1f631db5d159f8117a9ece57e9f8e0f143eccb9877e77e"),
+            (0.1, "dc97f5b9062ef57bc003d50d793d388c5096c0d31b35fbb68da37cec602b4400"),
+            (0.0, "c6e243ad409b14bef6220547472aac2cd433da83a378f0cc362ad9805a2bd3ce"),
+        ],
+        ids=["dense", "sparse", "all-zero"],
+    )
+    def test_delta_bytes_pinned(self, share, digest):
+        value, base = _sparse_change(29, share=share)
+        payload = delta_encode(value, base, base_id=4).payload
+        assert hashlib.sha256(payload).hexdigest() == digest
+
+
+class TestCorruptDeltaPayloads:
+    """Truncated or bit-flipped payloads fail with ``ValueError`` before any
+    oversized allocation — never ``MemoryError`` or ``IndexError``."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        pair=_value_and_base(),
+        cut=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+    )
+    def test_truncation_raises_value_error(self, pair, cut):
+        value, base = pair
+        blob = delta_encode(value, base, base_id=0)
+        blob.payload = blob.payload[: int(cut * len(blob.payload))]
+        with pytest.raises(ValueError):
+            delta_decode(blob, base)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        pair=_value_and_base(),
+        where=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+    )
+    def test_bit_flip_raises_or_decodes_in_place(self, pair, where):
+        """A flip is either rejected or confined to one element: header,
+        tables, mask (popcount) and coded shards are all checked, and only
+        raw-stored code-plane bytes carry no checksum in an RSF2 frame."""
+        value, base = pair
+        blob = delta_encode(value, base, base_id=0)
+        payload = bytearray(blob.payload)
+        bit = int(where * 8 * len(payload))
+        payload[bit // 8] ^= 1 << (bit % 8)
+        blob.payload = bytes(payload)
+        try:
+            restored = delta_decode(blob, base)
+        except ValueError:
+            return
+        assert restored.shape == value.shape
+        differs = restored.view(np.uint64) != value.view(np.uint64)
+        assert np.count_nonzero(differs) <= 1
 
 
 def _drifting_states(n=256, steps=12, seed=5):

@@ -145,7 +145,20 @@ class TestFormatErrors:
         sections = [np.repeat(np.arange(32, dtype=np.uint8), 200)]
         frame = bytearray(compress_sections(sections))
         frame[-1] ^= 0xFF
-        with pytest.raises((ShardedFormatError, Exception)):
+        with pytest.raises(ShardedFormatError, match="corrupt coded shard"):
+            decompress_sections(bytes(frame))
+
+    def test_shard_count_must_match_section_length(self):
+        """A flipped length bit is caught before the section is allocated."""
+        frame = self._frame()
+        frame[16 + 5] ^= 0x80  # orig_len of section 0 grows by 2**47
+        with pytest.raises(ShardedFormatError, match="declares"):
+            decompress_sections(bytes(frame))
+
+    def test_zero_shard_with_stored_bytes_rejected(self):
+        frame = bytearray(compress_sections([b"\x00" * 64, b"\x07" * 8]))
+        frame[16 + 2 * 12 + 1] = 8  # zero shard claims 8 stored bytes
+        with pytest.raises(ShardedFormatError, match="zero shard"):
             decompress_sections(bytes(frame))
 
 

@@ -43,7 +43,18 @@ def _valid_pipeline() -> dict:
             "dynamic_bytes": 128016,
             "format_version": 2,
         }
-    return {"combinations": {"lossless/cg": combo("lossless"), "lossy/cg": combo("lossy")}}
+    incremental = {
+        "scheme": "lossless",
+        "method": "cg",
+        "snapshot_mb_per_s": 50.0,
+        "payload_bytes": 150000,
+        "dynamic_bytes": 180000,
+        "delta_share": 0.25,
+    }
+    return {
+        "combinations": {"lossless/cg": combo("lossless"), "lossy/cg": combo("lossy")},
+        "incremental": {"lossless/cg": incremental},
+    }
 
 
 def _valid_codec() -> dict:
@@ -92,12 +103,32 @@ def test_valid_artifacts_pass(tmp_path, name):
 
 @pytest.mark.parametrize("name", sorted(_VALID))
 def test_empty_sections_fail(tmp_path, name):
-    data = _VALID[name]()
-    (key,) = [k for k in data if isinstance(data[k], dict) and k != "baseline_iterations"]
-    data[key] = {}
-    path = tmp_path / name
+    sections = [k for k, v in _VALID[name]().items() if isinstance(v, dict)]
+    assert sections
+    for key in sections:
+        data = _VALID[name]()
+        data[key] = {}
+        path = tmp_path / name
+        path.write_text(json.dumps(data))
+        assert checker.check_file(path), key
+
+
+def test_pipeline_requires_incremental_series(tmp_path):
+    data = _valid_pipeline()
+    del data["incremental"]
+    path = tmp_path / "BENCH_pipeline.json"
     path.write_text(json.dumps(data))
-    assert checker.check_file(path)
+    assert any("incremental" in e for e in checker.check_file(path))
+
+
+@pytest.mark.parametrize("share, ok", [(0.0, True), (1.0, True), (1.5, False), (None, False)])
+def test_pipeline_incremental_delta_share(tmp_path, share, ok):
+    data = _valid_pipeline()
+    data["incremental"]["lossless/cg"]["delta_share"] = share
+    path = tmp_path / "BENCH_pipeline.json"
+    path.write_text(json.dumps(data))
+    share_errors = [e for e in checker.check_file(path) if "delta_share" in e]
+    assert bool(share_errors) != ok
 
 
 def test_runner_requires_both_write_modes(tmp_path):
